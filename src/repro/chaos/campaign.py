@@ -1,17 +1,7 @@
-"""The randomized chaos conformance campaign behind ``repro chaos``.
+"""The ``chaos`` preset: randomized fault schedules on a flat deployment.
 
-A campaign samples fault schedules from a seed, runs each one against a
-small LBRM deployment under **both** simulation engines (the timer-wheel
-``Simulator`` and the pure-heap ``ReferenceSimulator``), checks the
-:class:`~repro.chaos.oracle.ChaosOracle` invariants throughout, and
-cross-checks that the two engines produced bit-identical end states.
-On any violation it prints a reproducer seed and a greedily *minimized*
-schedule — the smallest fault subset that still breaks the invariant.
-
-Everything is derived from the campaign seed: schedules, deployment
-RNG streams, and packet-chaos draws.  Reports contain no wallclock
-timestamps, so the same seed yields a byte-identical report — which CI
-asserts by running the campaign twice and diffing.
+Each case samples a fault schedule from the campaign seed and replays
+it through the shared runner (:func:`repro.chaos.runner.run_campaign`).
 
 Recoverable by construction
 ---------------------------
@@ -32,63 +22,31 @@ every NACK) to prove the oracle catches real regressions.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass
-from pathlib import Path
 
-from repro.chaos.controller import ChaosController
-from repro.chaos.oracle import ChaosOracle, Violation
+from repro.chaos import runner
 from repro.chaos.schedule import Fault, FaultSchedule
-from repro.core.config import LbrmConfig, LoggerConfig, ReceiverConfig
 from repro.core.logger import LogServer
-from repro.simnet.deploy import DeploymentSpec, LbrmDeployment
-from repro.simnet.engine import ReferenceSimulator, Simulator
 
 __all__ = [
-    "CampaignShape",
     "TIERS",
     "SABOTAGES",
+    "CHAOS",
+    "sabotaged",
     "sample_schedule",
-    "run_case",
-    "minimize_schedule",
-    "run_campaign",
+    "run_chaos_campaign",
     "build_chaos_parser",
     "run_chaos",
 ]
 
-# Timeline of every case: quiet warm-up, an active window carrying both
-# the data stream and the faults, then a long drain for recovery (the
-# receiver escalation ladder alone can take ~12 s at campaign retry
-# budgets, and post-stream heartbeats back off toward h_max).
-WARMUP = 0.5
-ACTIVE_END = 8.5
-DRAIN = 25.0
-
-# Retry budgets are raised well past every fault duration the sampler
-# can emit, so "ran out of retries" never masquerades as a protocol bug.
-_CAMPAIGN_CONFIG = LbrmConfig(
-    receiver=ReceiverConfig(max_nack_retries=10),
-    logger=LoggerConfig(max_upstream_retries=30),
-)
-
-
-@dataclass(frozen=True)
-class CampaignShape:
-    """Deployment dimensions and workload for one campaign tier."""
-
-    runs: int
-    n_sites: int
-    receivers_per_site: int
-    n_replicas: int
-    packets: int
-
-
-TIERS: dict[str, CampaignShape] = {
-    "quick": CampaignShape(runs=3, n_sites=2, receivers_per_site=2, n_replicas=1, packets=10),
-    "full": CampaignShape(runs=8, n_sites=3, receivers_per_site=3, n_replicas=2, packets=14),
+TIERS: dict[str, runner.CampaignShape] = {
+    "quick": runner.CampaignShape(
+        runs=3, n_sites=2, receivers_per_site=2, n_replicas=1, packets=10
+    ),
+    "full": runner.CampaignShape(
+        runs=8, n_sites=3, receivers_per_site=3, n_replicas=2, packets=14
+    ),
 }
 
 SABOTAGES: dict[str, str] = {
@@ -97,7 +55,8 @@ SABOTAGES: dict[str, str] = {
 
 
 @contextmanager
-def _sabotaged(name: str | None):
+def sabotaged(name: str | None):
+    """Run the body with the named sabotage applied (``None``: none)."""
     if name is None:
         yield
         return
@@ -114,31 +73,20 @@ def _sabotaged(name: str | None):
 # -- schedule sampling ----------------------------------------------------
 
 
-def sample_schedule(rng: random.Random, shape: CampaignShape) -> FaultSchedule:
+def sample_schedule(rng: random.Random, shape: runner.CampaignShape) -> FaultSchedule:
     """Draw one recoverable-by-construction fault schedule."""
-    sites = [f"site{i}" for i in range(1, shape.n_sites + 1)]
-    receivers = [
-        f"site{i}-rx{j}"
-        for i in range(1, shape.n_sites + 1)
-        for j in range(shape.receivers_per_site)
-    ]
-    loggers = [f"site{i}-logger" for i in range(1, shape.n_sites + 1)]
+    sites, receivers, loggers = shape.node_names()
+    draw = runner.Draws(rng)
     faults: list[Fault] = []
-
-    def at(lo: float = 0.8, hi: float = 7.8) -> float:
-        return round(rng.uniform(lo, hi), 3)
-
-    def dur(lo: float, hi: float) -> float:
-        return round(rng.uniform(lo, hi), 3)
 
     if shape.n_replicas >= 1 and rng.random() < 0.25:
         # Failover scenario: kill the primary for good mid-stream; the
         # sender must locate and promote the best replica (§2.2.3).
         # Only gentle receiver-side extras ride along so the secondary
         # loggers keep seeing the multicast stream directly.
-        faults.append(Fault("crash", at(1.0, 4.0), "primary"))
+        faults.append(Fault("crash", draw.at(1.0, 4.0), "primary"))
         for _ in range(rng.randrange(0, 3)):
-            faults.extend(_receiver_blip(rng, receivers, at, dur))
+            faults.extend(draw.blip(receivers))
         return FaultSchedule(faults=tuple(faults), seed=rng.randrange(2**32))
 
     menu = [
@@ -150,270 +98,75 @@ def sample_schedule(rng: random.Random, shape: CampaignShape) -> FaultSchedule:
     for _ in range(rng.randrange(2, 6)):
         pick = rng.choice(menu)
         if pick == "rx-blip":
-            faults.extend(_receiver_blip(rng, receivers, at, dur))
+            faults.extend(draw.blip(receivers))
         elif pick == "rx-pause":
-            start = at()
-            faults.append(Fault("pause", start, rng.choice(receivers)))
-            faults.append(Fault("resume", round(start + dur(0.3, 2.0), 3), faults[-1].target))
+            faults.extend(draw.blip(receivers, "pause", "resume"))
         elif pick == "logger-blip":
-            start = at()
-            victim = rng.choice(loggers)
-            faults.append(Fault("crash", start, victim))
-            faults.append(Fault("restart", round(start + dur(0.3, 2.0), 3), victim))
+            faults.extend(draw.blip(loggers))
         elif pick == "partition":
-            faults.append(Fault("partition", at(), rng.choice(sites), duration=dur(0.5, 2.5)))
+            faults.append(
+                Fault("partition", draw.at(), rng.choice(sites), duration=draw.dur(0.5, 2.5))
+            )
         elif pick == "skew":
             amount = round(rng.uniform(0.02, 0.1) * rng.choice((-1, 1)), 3)
-            faults.append(Fault("skew", at(), rng.choice(receivers + loggers), amount=amount))
+            faults.append(Fault("skew", draw.at(), rng.choice(receivers + loggers), amount=amount))
         elif pick == "duplicate":
             target = rng.choice([""] + receivers)
             faults.append(
-                Fault("duplicate", at(), target, duration=dur(0.5, 2.0),
+                Fault("duplicate", draw.at(), target, duration=draw.dur(0.5, 2.0),
                       amount=round(rng.uniform(0.3, 0.8), 3))
             )
-        elif pick == "corrupt":
+        elif pick in ("corrupt", "reorder"):
             # Corruption (checksum-discard) aims at receivers only: the
             # paper holds receivers responsible for their own recovery,
             # and scoping keeps the primary's control channel clean.
+            lo, hi = (0.05, 0.25) if pick == "corrupt" else (0.02, 0.15)
             faults.append(
-                Fault("corrupt", at(), rng.choice(receivers), duration=dur(0.3, 1.5),
-                      amount=round(rng.uniform(0.05, 0.25), 3))
-            )
-        elif pick == "reorder":
-            faults.append(
-                Fault("reorder", at(), rng.choice(receivers), duration=dur(0.3, 1.5),
-                      amount=round(rng.uniform(0.02, 0.15), 3))
+                Fault(pick, draw.at(), rng.choice(receivers), duration=draw.dur(0.3, 1.5),
+                      amount=round(rng.uniform(lo, hi), 3))
             )
         elif pick == "primary-pause" and primary_budget:
             primary_budget = 0
-            start = at(1.0, 6.0)
+            start = draw.at(1.0, 6.0)
             faults.append(Fault("pause", start, "primary"))
-            faults.append(Fault("resume", round(start + dur(0.3, 1.4), 3), "primary"))
+            faults.append(Fault("resume", round(start + draw.dur(0.3, 1.4), 3), "primary"))
     if not faults:  # pragma: no cover - menu always yields something
-        faults.extend(_receiver_blip(rng, receivers, at, dur))
+        faults.extend(draw.blip(receivers))
     return FaultSchedule(faults=tuple(faults), seed=rng.randrange(2**32))
 
 
-def _receiver_blip(rng: random.Random, receivers: list[str], at, dur) -> list[Fault]:
-    start = at()
-    victim = rng.choice(receivers)
-    return [
-        Fault("crash", start, victim),
-        Fault("restart", round(start + dur(0.3, 2.0), 3), victim),
-    ]
+CHAOS = runner.Preset(
+    command="chaos", stream="chaos-campaign", payload="chaos",
+    tiers=TIERS, sample=sample_schedule,
+)
 
 
-# -- single case ----------------------------------------------------------
-
-
-@dataclass
-class CaseOutcome:
-    violations: list[Violation]
-    faults_injected: int
-    digest: str
-
-
-def run_case(
-    shape: CampaignShape,
-    schedule: FaultSchedule,
-    case_seed: int,
-    engine: str = "fast",
-    sabotage: str | None = None,
-) -> CaseOutcome:
-    """Run one schedule against one deployment under one engine."""
-    sim = Simulator() if engine == "fast" else ReferenceSimulator()
-    spec = DeploymentSpec(
-        n_sites=shape.n_sites,
-        receivers_per_site=shape.receivers_per_site,
-        n_replicas=shape.n_replicas,
-        config=_CAMPAIGN_CONFIG,
-        seed=case_seed,
-    )
-    with _sabotaged(sabotage):
-        dep = LbrmDeployment(spec, sim=sim)
-        controller = ChaosController(dep, schedule)
-        controller.install()
-        oracle = ChaosOracle(dep, controller)
-        oracle.install()
-        dep.start()
-        span = ACTIVE_END - WARMUP
-        for i in range(shape.packets):
-            send_at = WARMUP + (i + 0.5) * span / shape.packets
-            dep.advance(send_at - dep.sim.now)
-            dep.send(f"chaos-{i}".encode())
-        dep.advance(ACTIVE_END - dep.sim.now + DRAIN)
-        violations = oracle.finish()
-    return CaseOutcome(
-        violations=violations,
-        faults_injected=controller.faults_injected,
-        digest=_digest(dep),
-    )
-
-
-def _digest(dep: LbrmDeployment) -> str:
-    """Fingerprint of the end state, for cross-engine agreement checks."""
-    assert dep.sender is not None
-    state = {
-        "seq": dep.sender.seq,
-        "released": dep.sender.released_up_to,
-        "primary": str(dep.sender.primary),
-        "network": dep.network.stats,
-        "receivers": {
-            node.name: [s for s in range(1, dep.sender.seq + 1) if rx.tracker.has(s)]
-            for rx, node in zip(dep.receivers, dep.receiver_nodes)
-        },
-    }
-    return hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()[:16]
-
-
-def minimize_schedule(
-    shape: CampaignShape,
-    schedule: FaultSchedule,
-    case_seed: int,
-    engine: str = "fast",
-    sabotage: str | None = None,
-) -> FaultSchedule:
-    """Greedily drop faults while the violation persists (ddmin-lite)."""
-
-    def violates(candidate: FaultSchedule) -> bool:
-        return bool(run_case(shape, candidate, case_seed, engine, sabotage).violations)
-
-    current = schedule
-    index = len(current.faults) - 1
-    while index >= 0:
-        candidate = current.without(index)
-        if violates(candidate):
-            current = candidate
-        index -= 1
-    return current
-
-
-# -- the campaign ----------------------------------------------------------
-
-
-def _case_seed(campaign_seed: int, index: int) -> int:
-    digest = hashlib.sha256(f"chaos:{campaign_seed}:{index}".encode()).digest()
-    return int.from_bytes(digest[:4], "big")
-
-
-def run_campaign(
+def run_chaos_campaign(
     seed: int,
     tier: str = "quick",
-    engines: tuple[str, ...] = ("fast", "reference"),
+    engines: tuple[str, ...] = runner.ENGINES,
     sabotage: str | None = None,
     runs: int | None = None,
 ) -> dict:
-    """Run the campaign; returns the (JSON-stable) report dict."""
-    shape = TIERS[tier]
-    n_runs = runs if runs is not None else shape.runs
-    cases = []
-    failures = []
-    total_faults = 0
-    total_violations = 0
-    for index in range(n_runs):
-        case_seed = _case_seed(seed, index)
-        schedule = sample_schedule(random.Random(f"chaos-campaign:{seed}:{index}"), shape)
-        per_engine = {}
-        for engine in engines:
-            outcome = run_case(shape, schedule, case_seed, engine, sabotage)
-            per_engine[engine] = {
-                "digest": outcome.digest,
-                "faults_injected": outcome.faults_injected,
-                "violations": [v.to_dict() for v in outcome.violations],
-            }
-            total_faults += outcome.faults_injected
-            total_violations += len(outcome.violations)
-        engines_agree = len({e["digest"] for e in per_engine.values()}) == 1
-        case = {
-            "index": index,
-            "case_seed": case_seed,
-            "schedule": schedule.to_dict(),
-            "engines": per_engine,
-            "engines_agree": engines_agree,
-        }
-        cases.append(case)
-        violated = any(e["violations"] for e in per_engine.values())
-        if violated or not engines_agree:
-            minimized = minimize_schedule(shape, schedule, case_seed, engines[0], sabotage)
-            failures.append({
-                "index": index,
-                "case_seed": case_seed,
-                "reproducer": f"repro chaos --{tier} --seed {seed} --runs {n_runs}",
-                "minimized_schedule": minimized.to_dict(),
-            })
-    return {
-        "campaign": {
-            "seed": seed,
-            "tier": tier,
-            "runs": n_runs,
-            "engines": list(engines),
-            "sabotage": sabotage,
-            "shape": {
-                "n_sites": shape.n_sites,
-                "receivers_per_site": shape.receivers_per_site,
-                "n_replicas": shape.n_replicas,
-                "packets": shape.packets,
-            },
-        },
-        "cases": cases,
-        "failures": failures,
-        "totals": {"faults_injected": total_faults, "violations": total_violations},
-    }
+    """Run the chaos campaign, optionally sabotaged; returns the report."""
+    with sabotaged(sabotage):
+        report = runner.run_campaign(CHAOS, seed, tier, engines, runs)
+    report["campaign"]["sabotage"] = sabotage
+    return report
 
 
 # -- CLI ----------------------------------------------------------
 
 
 def build_chaos_parser(parser: argparse.ArgumentParser) -> None:
-    tier = parser.add_mutually_exclusive_group()
-    tier.add_argument("--quick", action="store_const", const="quick", dest="tier",
-                      help="small campaign (default): 3 cases, 2 sites")
-    tier.add_argument("--full", action="store_const", const="full", dest="tier",
-                      help="larger campaign: 8 cases, 3 sites, 2 replicas")
-    parser.set_defaults(tier="quick")
-    parser.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
-    parser.add_argument("--runs", type=int, default=None, help="override the tier's case count")
-    parser.add_argument("--engine", choices=("both", "fast", "reference"), default="both",
-                        help="simulation engine(s) to run each case under (default both)")
+    runner.build_campaign_parser(parser, CHAOS)
     parser.add_argument("--sabotage", choices=sorted(SABOTAGES), default=None,
                         help="deliberately break the protocol to demo oracle detection")
-    parser.add_argument("--out", default=None, metavar="DIR",
-                        help="write CHAOS_seed<seed>.json into DIR")
-    parser.add_argument("--json", action="store_true", help="print the full report as JSON")
 
 
 def run_chaos(args: argparse.Namespace) -> int:
-    engines = ("fast", "reference") if args.engine == "both" else (args.engine,)
-    report = run_campaign(
-        args.seed, tier=args.tier, engines=engines, sabotage=args.sabotage, runs=args.runs
+    report = run_chaos_campaign(
+        args.seed, args.tier, runner.selected_engines(args), args.sabotage, args.runs
     )
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"CHAOS_seed{args.seed}.json").write_text(text + "\n")
-    if args.json:
-        print(text)
-    else:
-        meta = report["campaign"]
-        print(
-            f"chaos campaign: seed={meta['seed']} tier={meta['tier']} "
-            f"cases={meta['runs']} engines={','.join(meta['engines'])}"
-            + (f" sabotage={meta['sabotage']}" if meta["sabotage"] else "")
-        )
-        for case in report["cases"]:
-            n_violations = sum(len(e["violations"]) for e in case["engines"].values())
-            print(
-                f"  case {case['index']}: seed={case['case_seed']} "
-                f"faults={len(case['schedule']['faults'])} "
-                f"violations={n_violations} "
-                f"engines_agree={'yes' if case['engines_agree'] else 'NO'}"
-            )
-        totals = report["totals"]
-        print(f"totals: faults_injected={totals['faults_injected']} "
-              f"violations={totals['violations']}")
-        for failure in report["failures"]:
-            print(f"FAILURE in case {failure['index']} (case_seed {failure['case_seed']})")
-            print(f"  reproducer: {failure['reproducer']}")
-            print(f"  minimized schedule: {json.dumps(failure['minimized_schedule'], sort_keys=True)}")
-    return 1 if report["failures"] else 0
+    suffix = f" sabotage={args.sabotage}" if args.sabotage else ""
+    return runner.emit(args, report, runner.campaign_summary(report, CHAOS, suffix))

@@ -1,71 +1,39 @@
-"""The k-level hierarchy chaos campaign behind ``repro hierarchy-chaos``.
+"""The ``hierarchy-chaos`` preset: tree faults on k-level repair trees.
 
-Same contract as :mod:`repro.chaos.campaign`, aimed at deep repair
+The chaos contract (:mod:`repro.chaos.runner`) aimed at deep repair
 trees (DESIGN §11): every case builds a ``depth >= 3`` deployment whose
 interior hubs sit *between* the site loggers and the primary, and the
 fault sampler leans on the tree — crash-and-restart a hub, crash one
 for good mid-stream, or inject a mid-epoch ``reparent`` mutation — on
-top of the usual receiver/site-logger/partition noise.
-
-The oracle contract is unchanged: the I1–I6 invariants must hold under
-every sampled schedule, on **both** engines, with bit-identical end
-states.  The digest additionally folds in the hierarchy snapshot (final
-parent map, every applied move, manager counters), so the two engines
-must agree not just on what the receivers got but on the exact sequence
-of tree surgery that got them there.
+top of the usual receiver/site-logger/partition noise.  Each case also
+reports how many re-parent moves the tree manager made, and the engines
+must agree on the tree surgery too (see :func:`repro.chaos.runner.digest`).
 
 Recoverable by construction: the source and the primary stay alive, at
 most one *permanent* hub crash per schedule (its subtree must re-parent
-around it — that is the scenario under test, ISSUE 10), and every other
-disturbance heals inside the drain window's retry budgets.
+around it — the scenario under test), and every other disturbance heals
+inside the drain window's retry budgets.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
 import random
 from dataclasses import dataclass
-from pathlib import Path
 
-from repro.chaos.campaign import ACTIVE_END, DRAIN, WARMUP
-from repro.chaos.controller import ChaosController
-from repro.chaos.oracle import ChaosOracle, Violation
+from repro.chaos import runner
 from repro.chaos.schedule import Fault, FaultSchedule
-from repro.core.config import LbrmConfig, LoggerConfig, ReceiverConfig
 from repro.core.hierarchy import interior_name, plan_level_sizes
-from repro.simnet.deploy import DeploymentSpec, LbrmDeployment
-from repro.simnet.engine import ReferenceSimulator, Simulator
+from repro.simnet.deploy import LbrmDeployment
 
-__all__ = [
-    "HierarchyShape",
-    "TIERS",
-    "sample_hierarchy_schedule",
-    "run_hierarchy_case",
-    "run_hierarchy_campaign",
-    "build_hierarchy_chaos_parser",
-    "run_hierarchy_chaos",
-]
-
-# Retry budgets match the flat campaign: every samplable fault fits.
-_CAMPAIGN_CONFIG = LbrmConfig(
-    receiver=ReceiverConfig(max_nack_retries=10),
-    logger=LoggerConfig(max_upstream_retries=30),
-)
+__all__ = ["HierarchyShape", "TIERS", "HIERARCHY", "sample_hierarchy_schedule"]
 
 
 @dataclass(frozen=True)
-class HierarchyShape:
-    """Deployment dimensions and workload for one campaign tier."""
+class HierarchyShape(runner.CampaignShape):
+    """A campaign tier on a logger tree of ``depth`` levels."""
 
-    runs: int
-    n_sites: int
-    receivers_per_site: int
-    n_replicas: int
     depth: int
     fanout: int
-    packets: int
 
     def hubs(self) -> list[str]:
         """Interior-logger names this shape's deployment will build."""
@@ -94,21 +62,10 @@ TIERS: dict[str, HierarchyShape] = {
 
 def sample_hierarchy_schedule(rng: random.Random, shape: HierarchyShape) -> FaultSchedule:
     """Draw one recoverable-by-construction schedule for a deep tree."""
-    sites = [f"site{i}" for i in range(1, shape.n_sites + 1)]
-    receivers = [
-        f"site{i}-rx{j}"
-        for i in range(1, shape.n_sites + 1)
-        for j in range(shape.receivers_per_site)
-    ]
-    loggers = [f"site{i}-logger" for i in range(1, shape.n_sites + 1)]
+    sites, receivers, loggers = shape.node_names()
     hubs = shape.hubs()
     faults: list[Fault] = []
-
-    def at(lo: float = 0.8, hi: float = 7.8) -> float:
-        return round(rng.uniform(lo, hi), 3)
-
-    def dur(lo: float, hi: float) -> float:
-        return round(rng.uniform(lo, hi), 3)
+    draw = runner.Draws(rng)
 
     # Tree surgery is the point of this campaign: every schedule carries
     # at least one hub disturbance or explicit mutation.
@@ -122,251 +79,35 @@ def sample_hierarchy_schedule(rng: random.Random, shape: HierarchyShape) -> Faul
             ["hub-blip", "hub-crash", "reparent"]
         )
         if pick == "hub-blip":
-            start = at()
-            victim = rng.choice(hubs)
-            faults.append(Fault("crash", start, victim))
-            faults.append(Fault("restart", round(start + dur(0.3, 2.0), 3), victim))
+            faults.extend(draw.blip(hubs))
         elif pick == "hub-crash":
             if not hub_crash_budget:
                 continue
             hub_crash_budget = 0
-            faults.append(Fault("crash", at(1.0, 5.0), rng.choice(hubs)))
+            faults.append(Fault("crash", draw.at(1.0, 5.0), rng.choice(hubs)))
         elif pick == "reparent":
             # Mid-epoch mutation of a live edge: a site logger or a hub
             # is shoved onto its best alternative parent.
-            faults.append(Fault("reparent", at(), rng.choice(loggers + hubs)))
+            faults.append(Fault("reparent", draw.at(), rng.choice(loggers + hubs)))
         elif pick == "rx-blip":
-            start = at()
-            victim = rng.choice(receivers)
-            faults.append(Fault("crash", start, victim))
-            faults.append(Fault("restart", round(start + dur(0.3, 2.0), 3), victim))
+            faults.extend(draw.blip(receivers))
         elif pick == "logger-blip":
-            start = at()
-            victim = rng.choice(loggers)
-            faults.append(Fault("crash", start, victim))
-            faults.append(Fault("restart", round(start + dur(0.3, 2.0), 3), victim))
+            faults.extend(draw.blip(loggers))
         else:  # partition
             faults.append(
-                Fault("partition", at(), rng.choice(sites), duration=dur(0.5, 2.0))
+                Fault("partition", draw.at(), rng.choice(sites), duration=draw.dur(0.5, 2.0))
             )
     return FaultSchedule(faults=tuple(faults), seed=rng.randrange(2**32))
 
 
-# -- single case ----------------------------------------------------------
-
-
-@dataclass
-class HierarchyCaseOutcome:
-    violations: list[Violation]
-    faults_injected: int
-    reparents: int
-    digest: str
-
-
-def run_hierarchy_case(
-    shape: HierarchyShape,
-    schedule: FaultSchedule,
-    case_seed: int,
-    engine: str = "fast",
-) -> HierarchyCaseOutcome:
-    """Run one schedule against one deep deployment under one engine."""
-    sim = Simulator() if engine == "fast" else ReferenceSimulator()
-    spec = DeploymentSpec(
-        n_sites=shape.n_sites,
-        receivers_per_site=shape.receivers_per_site,
-        n_replicas=shape.n_replicas,
-        depth=shape.depth,
-        fanout=shape.fanout,
-        config=_CAMPAIGN_CONFIG,
-        seed=case_seed,
-    )
-    dep = LbrmDeployment(spec, sim=sim)
-    controller = ChaosController(dep, schedule)
-    controller.install()
-    oracle = ChaosOracle(dep, controller)
-    oracle.install()
-    dep.start()
-    span = ACTIVE_END - WARMUP
-    for i in range(shape.packets):
-        send_at = WARMUP + (i + 0.5) * span / shape.packets
-        dep.advance(send_at - dep.sim.now)
-        dep.send(f"hchaos-{i}".encode())
-    dep.advance(ACTIVE_END - dep.sim.now + DRAIN)
-    violations = oracle.finish()
+def _reparents(dep: LbrmDeployment) -> int:
     assert dep.hierarchy is not None
     stats = dep.hierarchy.manager.stats
-    reparents = sum(v for k, v in stats.items() if k.startswith("reparents_"))
-    return HierarchyCaseOutcome(
-        violations=violations,
-        faults_injected=controller.faults_injected,
-        reparents=reparents,
-        digest=_digest(dep),
-    )
+    return sum(v for k, v in stats.items() if k.startswith("reparents_"))
 
 
-def _digest(dep: LbrmDeployment) -> str:
-    """End-state fingerprint: receiver contents *and* the tree surgery."""
-    assert dep.sender is not None and dep.hierarchy is not None
-    state = {
-        "seq": dep.sender.seq,
-        "released": dep.sender.released_up_to,
-        "primary": str(dep.sender.primary),
-        "network": dep.network.stats,
-        "receivers": {
-            node.name: [s for s in range(1, dep.sender.seq + 1) if rx.tracker.has(s)]
-            for rx, node in zip(dep.receivers, dep.receiver_nodes)
-        },
-        "hierarchy": dep.hierarchy.to_dict(),
-    }
-    return hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()[:16]
-
-
-def _minimize(
-    shape: HierarchyShape, schedule: FaultSchedule, case_seed: int, engine: str
-) -> FaultSchedule:
-    """Greedily drop faults while the violation persists (ddmin-lite)."""
-    current = schedule
-    index = len(current.faults) - 1
-    while index >= 0:
-        candidate = current.without(index)
-        if run_hierarchy_case(shape, candidate, case_seed, engine).violations:
-            current = candidate
-        index -= 1
-    return current
-
-
-# -- the campaign ----------------------------------------------------------
-
-
-def _case_seed(campaign_seed: int, index: int) -> int:
-    digest = hashlib.sha256(f"hierarchy-chaos:{campaign_seed}:{index}".encode()).digest()
-    return int.from_bytes(digest[:4], "big")
-
-
-def run_hierarchy_campaign(
-    seed: int,
-    tier: str = "quick",
-    engines: tuple[str, ...] = ("fast", "reference"),
-    runs: int | None = None,
-) -> dict:
-    """Run the deep-tree campaign; returns the (JSON-stable) report dict."""
-    shape = TIERS[tier]
-    n_runs = runs if runs is not None else shape.runs
-    cases = []
-    failures = []
-    total_faults = 0
-    total_violations = 0
-    total_reparents = 0
-    for index in range(n_runs):
-        case_seed = _case_seed(seed, index)
-        schedule = sample_hierarchy_schedule(
-            random.Random(f"hierarchy-chaos:{seed}:{index}"), shape
-        )
-        per_engine = {}
-        for engine in engines:
-            outcome = run_hierarchy_case(shape, schedule, case_seed, engine)
-            per_engine[engine] = {
-                "digest": outcome.digest,
-                "faults_injected": outcome.faults_injected,
-                "reparents": outcome.reparents,
-                "violations": [v.to_dict() for v in outcome.violations],
-            }
-            total_faults += outcome.faults_injected
-            total_violations += len(outcome.violations)
-            total_reparents += outcome.reparents
-        engines_agree = len({e["digest"] for e in per_engine.values()}) == 1
-        case = {
-            "index": index,
-            "case_seed": case_seed,
-            "schedule": schedule.to_dict(),
-            "engines": per_engine,
-            "engines_agree": engines_agree,
-        }
-        cases.append(case)
-        violated = any(e["violations"] for e in per_engine.values())
-        if violated or not engines_agree:
-            minimized = _minimize(shape, schedule, case_seed, engines[0])
-            failures.append({
-                "index": index,
-                "case_seed": case_seed,
-                "reproducer": f"repro hierarchy-chaos --{tier} --seed {seed} --runs {n_runs}",
-                "minimized_schedule": minimized.to_dict(),
-            })
-    return {
-        "campaign": {
-            "seed": seed,
-            "tier": tier,
-            "runs": n_runs,
-            "engines": list(engines),
-            "shape": {
-                "n_sites": shape.n_sites,
-                "receivers_per_site": shape.receivers_per_site,
-                "n_replicas": shape.n_replicas,
-                "depth": shape.depth,
-                "fanout": shape.fanout,
-                "packets": shape.packets,
-            },
-        },
-        "cases": cases,
-        "failures": failures,
-        "totals": {
-            "faults_injected": total_faults,
-            "violations": total_violations,
-            "reparents": total_reparents,
-        },
-    }
-
-
-# -- CLI ----------------------------------------------------------
-
-
-def build_hierarchy_chaos_parser(parser: argparse.ArgumentParser) -> None:
-    tier = parser.add_mutually_exclusive_group()
-    tier.add_argument("--quick", action="store_const", const="quick", dest="tier",
-                      help="small campaign (default): 3 cases, 6 sites, depth 3")
-    tier.add_argument("--full", action="store_const", const="full", dest="tier",
-                      help="larger campaign: 6 cases, 9 sites x 2 receivers")
-    parser.set_defaults(tier="quick")
-    parser.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
-    parser.add_argument("--runs", type=int, default=None, help="override the tier's case count")
-    parser.add_argument("--engine", choices=("both", "fast", "reference"), default="both",
-                        help="simulation engine(s) to run each case under (default both)")
-    parser.add_argument("--out", default=None, metavar="DIR",
-                        help="write HIERARCHY_CHAOS_seed<seed>.json into DIR")
-    parser.add_argument("--json", action="store_true", help="print the full report as JSON")
-
-
-def run_hierarchy_chaos(args: argparse.Namespace) -> int:
-    engines = ("fast", "reference") if args.engine == "both" else (args.engine,)
-    report = run_hierarchy_campaign(args.seed, tier=args.tier, engines=engines, runs=args.runs)
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"HIERARCHY_CHAOS_seed{args.seed}.json").write_text(text + "\n")
-    if args.json:
-        print(text)
-    else:
-        meta = report["campaign"]
-        print(
-            f"hierarchy chaos campaign: seed={meta['seed']} tier={meta['tier']} "
-            f"cases={meta['runs']} depth={meta['shape']['depth']} "
-            f"fanout={meta['shape']['fanout']} engines={','.join(meta['engines'])}"
-        )
-        for case in report["cases"]:
-            n_violations = sum(len(e["violations"]) for e in case["engines"].values())
-            reparents = max(e["reparents"] for e in case["engines"].values())
-            print(
-                f"  case {case['index']}: seed={case['case_seed']} "
-                f"faults={len(case['schedule']['faults'])} "
-                f"reparents={reparents} violations={n_violations} "
-                f"engines_agree={'yes' if case['engines_agree'] else 'NO'}"
-            )
-        totals = report["totals"]
-        print(f"totals: faults_injected={totals['faults_injected']} "
-              f"reparents={totals['reparents']} violations={totals['violations']}")
-        for failure in report["failures"]:
-            print(f"FAILURE in case {failure['index']} (case_seed {failure['case_seed']})")
-            print(f"  reproducer: {failure['reproducer']}")
-            print(f"  minimized schedule: {json.dumps(failure['minimized_schedule'], sort_keys=True)}")
-    return 1 if report["failures"] else 0
+HIERARCHY = runner.Preset(
+    command="hierarchy-chaos", stream="hierarchy-chaos", payload="hchaos",
+    tiers=TIERS, sample=sample_hierarchy_schedule,
+    counters={"reparents": _reparents}, header_fields=("depth", "fanout"),
+)

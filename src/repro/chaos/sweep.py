@@ -41,28 +41,18 @@ the freshly promoted replica is provably zero-loss.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass, replace
 
-from repro.chaos.oracle import ChaosOracle, Violation
-from repro.core.config import (
-    LbrmConfig,
-    LoggerConfig,
-    ReceiverConfig,
-    ReplicationConfig,
-)
+from repro.chaos import runner
+from repro.chaos.oracle import ChaosOracle
+from repro.core.config import LbrmConfig, ReplicationConfig
 from repro.core.logger import LoggerRole
-from repro.simnet.deploy import DeploymentSpec, LbrmDeployment
-from repro.simnet.engine import ReferenceSimulator, Simulator
+from repro.simnet.deploy import LbrmDeployment
 from repro.simnet.loss import BernoulliLoss
 
 __all__ = [
     "SweepShape",
     "TIERS",
-    "RecordingSimulator",
-    "RecordingReferenceSimulator",
     "sweep_config",
     "enumerate_crash_points",
     "run_crash_case",
@@ -72,26 +62,18 @@ __all__ = [
 ]
 
 # Short timeline: the sweep replays the scenario once per schedule
-# point, so each replay must be cheap.  WARMUP..ACTIVE_END carries the
-# paced data stream; DRAIN covers failover detection (primary_timeout +
-# failover_wait), handover, and receiver recovery.
-WARMUP = 0.25
-ACTIVE_END = 2.25
-DRAIN = 5.0
-
-#: Crash-time grid resolution.  Schedule points are rounded to this
-#: before deduplication; two events closer than a nanosecond are the
-#: same crash instant for every protocol timer in the system.
-_ROUND = 9
+# point, so each replay must be cheap.  The active window carries the
+# paced data stream; the drain covers failover detection
+# (primary_timeout + failover_wait), handover, and receiver recovery.
+TIMELINE = runner.Timeline(warmup=0.25, active_end=2.25, drain=5.0)
 
 
 def sweep_config(*, min_replicas_acked: int = 1) -> LbrmConfig:
-    """The sweep's protocol config: generous retry budgets (recovery
+    """The sweep's protocol config: the campaigns' retry budgets (recovery
     exhaustion must never masquerade as a failover bug) and failover
-    timers tightened so detection + promotion fit inside DRAIN."""
-    return LbrmConfig(
-        receiver=ReceiverConfig(max_nack_retries=10),
-        logger=LoggerConfig(max_upstream_retries=30),
+    timers tightened so detection + promotion fit inside the drain."""
+    return replace(
+        runner._CAMPAIGN_CONFIG,
         replication=ReplicationConfig(
             min_replicas_acked=min_replicas_acked,
             update_retry=0.1,
@@ -133,98 +115,40 @@ DOUBLE_OFFSETS = (0.9, 1.6)
 READOPT_WIPE_AT = 1.0
 
 
-# -- recording engines ------------------------------------------------------
-
-
-class RecordingSimulator(Simulator):
-    """Timer-wheel engine that records every distinct schedule point."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.points: set[float] = set()
-
-    def schedule(self, at, callback, *args):
-        t = at if at > self.now else self.now
-        self.points.add(round(t, _ROUND))
-        return super().schedule(at, callback, *args)
-
-
-class RecordingReferenceSimulator(ReferenceSimulator):
-    """Pure-heap engine that records every distinct schedule point."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.points: set[float] = set()
-
-    def schedule(self, at, callback, *args):
-        t = at if at > self.now else self.now
-        self.points.add(round(t, _ROUND))
-        return super().schedule(at, callback, *args)
-
-
 # -- scenario ----------------------------------------------------------
 
 
-def _spec(shape: SweepShape, seed: int, config: LbrmConfig) -> DeploymentSpec:
-    return DeploymentSpec(
-        n_sites=shape.n_sites,
-        receivers_per_site=shape.receivers_per_site,
-        n_replicas=shape.n_replicas,
-        config=config,
-        seed=seed,
-    )
-
-
-def _apply_receiver_loss(dep: LbrmDeployment, shape: SweepShape) -> None:
-    """Receiver-only inbound loss: site loggers and the primary side stay
-    loss-free so every crash point leaves a recoverable world."""
-    if not shape.rx_loss:
-        return
-    for node in dep.receiver_nodes:
-        dep.network.host(node.name).inbound_loss = BernoulliLoss(
-            shape.rx_loss, dep.streams.stream(f"sweep-loss:{node.name}")
-        )
+def _scenario(shape: SweepShape, seed: int, engine: str, config: LbrmConfig | None,
+              record: bool = False) -> LbrmDeployment:
+    """The sweep's deployment, with receiver-only inbound loss: site
+    loggers and the primary side stay loss-free so every crash point
+    leaves a recoverable world."""
+    spec = runner.deployment_spec(shape, config or sweep_config(), seed)
+    dep = LbrmDeployment(spec, sim=runner.make_engine(engine, record=record))
+    if shape.rx_loss:
+        for node in dep.receiver_nodes:
+            dep.network.host(node.name).inbound_loss = BernoulliLoss(
+                shape.rx_loss, dep.streams.stream(f"sweep-loss:{node.name}")
+            )
+    return dep
 
 
 def _send_times(shape: SweepShape) -> list[float]:
-    span = ACTIVE_END - WARMUP
-    return [
-        round(WARMUP + (i + 0.5) * span / shape.packets, _ROUND)
-        for i in range(shape.packets)
-    ]
-
-
-def _drive(dep: LbrmDeployment, shape: SweepShape) -> None:
-    dep.start()
-    for i, send_at in enumerate(_send_times(shape)):
-        dep.advance(send_at - dep.sim.now)
-        dep.send(f"sweep-{i}".encode())
-    dep.advance(ACTIVE_END - dep.sim.now + DRAIN)
+    return [round(t, runner.POINT_DIGITS) for t in TIMELINE.send_times(shape.packets)]
 
 
 def enumerate_crash_points(shape: SweepShape, seed: int, engine: str = "fast",
                            config: LbrmConfig | None = None) -> list[float]:
     """Replay the fault-free scenario under a recording engine and return
-    every distinct schedule point in the crash window ``[0, ACTIVE_END]``."""
-    config = config or sweep_config()
-    sim = RecordingSimulator() if engine == "fast" else RecordingReferenceSimulator()
-    dep = LbrmDeployment(_spec(shape, seed, config), sim=sim)
-    _apply_receiver_loss(dep, shape)
-    _drive(dep, shape)
-    points = set(sim.points)
+    every distinct schedule point in the crash window ``[0, active_end]``."""
+    dep = _scenario(shape, seed, engine, config, record=True)
+    runner.drive(dep, _send_times(shape), "sweep", TIMELINE)
+    points = set(dep.sim.points)
     points.update(_send_times(shape))  # the crash-just-before-send instants
-    return sorted(t for t in points if 0.0 <= t <= ACTIVE_END)
+    return sorted(t for t in points if 0.0 <= t <= TIMELINE.active_end)
 
 
 # -- one replay ----------------------------------------------------------
-
-
-@dataclass
-class CrashOutcome:
-    violations: list[Violation]
-    digest: str
-    promoted: str | None
-    log_epoch: int
 
 
 def _crash_current_primary(dep: LbrmDeployment) -> None:
@@ -266,58 +190,33 @@ def run_crash_case(
     config: LbrmConfig | None = None,
     second_crash_at: float | None = None,
     wipe_at: float | None = None,
-) -> CrashOutcome:
-    """One replay: crash the primary at ``crash_at``, grade with the oracle."""
-    config = config or sweep_config()
-    sim = Simulator() if engine == "fast" else ReferenceSimulator()
-    dep = LbrmDeployment(_spec(shape, seed, config), sim=sim)
-    _apply_receiver_loss(dep, shape)
+) -> runner.CaseOutcome:
+    """One replay: crash the primary at ``crash_at``, grade with the oracle.
+
+    The outcome's fields are ``promoted`` (the replica the sender ended
+    up trusting, or ``None``) and the sender's final ``log_epoch``.
+    """
+    dep = _scenario(shape, seed, engine, config)
     # Scheduled before start: among equal-time events the crash fires
     # first (insertion-order tie-break), i.e. "just before" the point.
     assert dep.primary_node is not None
-    sim.schedule(crash_at, dep.primary_node.crash)
+    dep.sim.schedule(crash_at, dep.primary_node.crash)
     if second_crash_at is not None:
-        sim.schedule(second_crash_at, _crash_current_primary, dep)
+        dep.sim.schedule(second_crash_at, _crash_current_primary, dep)
     if wipe_at is not None:
-        sim.schedule(wipe_at, _wipe_restart_replica, dep)
+        dep.sim.schedule(wipe_at, _wipe_restart_replica, dep)
     oracle = ChaosOracle(dep)
     oracle.install()
-    _drive(dep, shape)
+    runner.drive(dep, _send_times(shape), "sweep", TIMELINE)
     violations = oracle.finish()
     assert dep.sender is not None
     promoted = None
     if dep.sender.primary != dep.primary_node.name:
         promoted = str(dep.sender.primary)
-    return CrashOutcome(
-        violations=violations,
-        digest=_digest(dep),
-        promoted=promoted,
-        log_epoch=dep.sender.log_epoch,
+    return runner.CaseOutcome(
+        violations, runner.digest(dep, logs=True),
+        {"promoted": promoted, "log_epoch": dep.sender.log_epoch},
     )
-
-
-def _digest(dep: LbrmDeployment) -> str:
-    """Fingerprint of the end state, for cross-engine agreement checks."""
-    assert dep.sender is not None
-    state = {
-        "seq": dep.sender.seq,
-        "released": dep.sender.released_up_to,
-        "primary": str(dep.sender.primary),
-        "log_epoch": dep.sender.log_epoch,
-        "network": dep.network.stats,
-        "logs": {
-            node.name: machine.primary_seq
-            for machine, node in zip(
-                [dep.primary, *dep.replicas],
-                [dep.primary_node, *dep.replica_nodes],
-            )
-        },
-        "receivers": {
-            node.name: [s for s in range(1, dep.sender.seq + 1) if rx.tracker.has(s)]
-            for rx, node in zip(dep.receivers, dep.receiver_nodes)
-        },
-    }
-    return hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()[:16]
 
 
 # -- the sweep ----------------------------------------------------------
@@ -326,7 +225,7 @@ def _digest(dep: LbrmDeployment) -> str:
 def run_sweep_campaign(
     seed: int,
     tier: str = "quick",
-    engines: tuple[str, ...] = ("fast", "reference"),
+    engines: tuple[str, ...] = runner.ENGINES,
     double: bool = False,
     max_points: int | None = None,
     readopt: bool = False,
@@ -343,22 +242,15 @@ def run_sweep_campaign(
     and ``min_replicas_acked=2`` — the surviving follower keeps every
     committed packet reachable.
     """
+    if max_points is not None and max_points < 1:
+        raise ValueError(f"max_points must be at least 1, got {max_points}")
     shape = TIERS[tier]
     if double or readopt:
-        shape = SweepShape(
-            n_sites=shape.n_sites,
-            receivers_per_site=shape.receivers_per_site,
-            n_replicas=max(shape.n_replicas, 2),
-            packets=shape.packets,
-            rx_loss=shape.rx_loss,
-        )
+        shape = replace(shape, n_replicas=max(shape.n_replicas, 2))
     config = sweep_config(min_replicas_acked=2 if (double or readopt) else 1)
-    wipe_at = round(READOPT_WIPE_AT, _ROUND) if readopt else None
+    wipe_at = round(READOPT_WIPE_AT, runner.POINT_DIGITS) if readopt else None
 
-    per_engine_points = {
-        engine: enumerate_crash_points(shape, seed, engine, config) for engine in engines
-    }
-    point_lists = list(per_engine_points.values())
+    point_lists = [enumerate_crash_points(shape, seed, engine, config) for engine in engines]
     points_agree = all(p == point_lists[0] for p in point_lists[1:])
     points = sorted(set().union(*point_lists))
     truncated = 0
@@ -371,141 +263,93 @@ def run_sweep_campaign(
         truncated = len(points) - len(kept)
         points = kept
 
-    cases = []
-    failures = []
-    total_violations = 0
-    variants: list[float | None] = [None]
-    if double:
-        variants = [round(offset, _ROUND) for offset in DOUBLE_OFFSETS]
-    for crash_at in points:
-        for offset in variants:
-            second = None if offset is None else round(crash_at + offset, _ROUND)
-            per_engine = {}
-            for engine in engines:
-                outcome = run_crash_case(
-                    shape, seed, crash_at, engine, config, second, wipe_at=wipe_at
-                )
-                per_engine[engine] = {
-                    "digest": outcome.digest,
-                    "promoted": outcome.promoted,
-                    "log_epoch": outcome.log_epoch,
-                    "violations": [v.to_dict() for v in outcome.violations],
-                }
-                total_violations += len(outcome.violations)
-            engines_agree = len({e["digest"] for e in per_engine.values()}) == 1
-            case = {
-                "crash_at": crash_at,
-                "second_crash_at": second,
-                "wipe_at": wipe_at,
-                "engines": per_engine,
-                "engines_agree": engines_agree,
-            }
-            cases.append(case)
-            if any(e["violations"] for e in per_engine.values()) or not engines_agree:
-                failures.append({
-                    "crash_at": crash_at,
-                    "second_crash_at": second,
-                    "reproducer": (
-                        f"repro failover-sweep --{tier} --seed {seed}"
-                        + (" --double" if double else "")
-                        + (" --readopt" if readopt else "")
-                    ),
-                })
+    offsets = [round(offset, runner.POINT_DIGITS) for offset in DOUBLE_OFFSETS]
+    headers = [
+        {"crash_at": crash_at, "second_crash_at": second, "wipe_at": wipe_at}
+        for crash_at in points
+        for second in (
+            [round(crash_at + o, runner.POINT_DIGITS) for o in offsets] if double else [None]
+        )
+    ]
+    reproducer = (
+        f"repro failover-sweep --{tier} --seed {seed}"
+        + (" --double" if double else "")
+        + (" --readopt" if readopt else "")
+    )
+    report = runner.run_cases(
+        headers,
+        engines,
+        lambda h, engine: run_crash_case(
+            shape, seed, h["crash_at"], engine, config, h["second_crash_at"], wipe_at
+        ),
+        lambda h: {
+            "crash_at": h["crash_at"],
+            "second_crash_at": h["second_crash_at"],
+            "reproducer": reproducer,
+        },
+    )
     if not points_agree:
-        failures.append({
+        report["failures"].append({
             "crash_at": None,
             "second_crash_at": None,
             "reproducer": "engines enumerated different schedule-point lists",
         })
-    return {
-        "sweep": {
-            "seed": seed,
-            "tier": tier,
-            "engines": list(engines),
-            "double": double,
-            "readopt": readopt,
-            "wipe_at": wipe_at,
-            "shape": {
-                "n_sites": shape.n_sites,
-                "receivers_per_site": shape.receivers_per_site,
-                "n_replicas": shape.n_replicas,
-                "packets": shape.packets,
-                "rx_loss": shape.rx_loss,
-            },
-            "points": points,
-            "points_agree": points_agree,
-            "points_truncated": truncated,
-        },
-        "cases": cases,
-        "failures": failures,
-        "totals": {
-            "points": len(points),
-            "replays": len(cases) * len(engines),
-            "violations": total_violations,
-        },
+    report["totals"].update(points=len(points), replays=len(headers) * len(engines))
+    meta = {
+        "seed": seed,
+        "tier": tier,
+        "engines": list(engines),
+        "double": double,
+        "readopt": readopt,
+        "wipe_at": wipe_at,
+        "shape": asdict(shape),
+        "points": points,
+        "points_agree": points_agree,
+        "points_truncated": truncated,
     }
+    return {"sweep": meta, **report}
 
 
 # -- CLI ----------------------------------------------------------
 
 
 def build_sweep_parser(parser: argparse.ArgumentParser) -> None:
-    tier = parser.add_mutually_exclusive_group()
-    tier.add_argument("--micro", action="store_const", const="micro", dest="tier",
-                      help="smallest sweep (the tier-1 test shape)")
-    tier.add_argument("--quick", action="store_const", const="quick", dest="tier",
-                      help="CI sweep (default): 2 sites, 2 replicas, 6 packets")
-    tier.add_argument("--full", action="store_const", const="full", dest="tier",
-                      help="large sweep: 3 sites, 2 replicas, 10 packets")
-    parser.set_defaults(tier="quick")
-    parser.add_argument("--seed", type=int, default=0, help="scenario seed (default 0)")
-    parser.add_argument("--engine", choices=("both", "fast", "reference"), default="both",
-                        help="simulation engine(s) to replay under (default both)")
+    runner.add_common_args(parser, "failover-sweep", TIERS)
     parser.add_argument("--double", action="store_true",
                         help="double-failure variant: also crash the promoted primary")
     parser.add_argument("--readopt", action="store_true",
                         help="follower-restart variant: wipe one follower's state "
                              "mid-stream in every replay (exercises stale-state "
                              "re-adoption and backfill)")
-    parser.add_argument("--max-points", type=int, default=None, metavar="N",
+    parser.add_argument("--max-points", type=runner.positive_int, default=None, metavar="N",
                         help="cap the replayed points at N (evenly spaced; "
                              "the report records the truncation)")
-    parser.add_argument("--out", default=None, metavar="DIR",
-                        help="write FAILOVER_SWEEP_seed<seed>.json into DIR")
-    parser.add_argument("--json", action="store_true", help="print the full report as JSON")
+
+
+def _summary(report: dict) -> list[str]:
+    meta = report["sweep"]
+    totals = report["totals"]
+    lines = [
+        f"failover sweep: seed={meta['seed']} tier={meta['tier']} "
+        f"engines={','.join(meta['engines'])}"
+        + (" double" if meta["double"] else "")
+        + (" readopt" if meta["readopt"] else ""),
+        f"  points={totals['points']} replays={totals['replays']} "
+        f"violations={totals['violations']} "
+        f"points_agree={'yes' if meta['points_agree'] else 'NO'}"
+        + (f" (truncated {meta['points_truncated']})" if meta["points_truncated"] else ""),
+    ]
+    for failure in report["failures"]:
+        lines.append(
+            f"FAILURE at crash_at={failure['crash_at']} "
+            f"second={failure['second_crash_at']}: {failure['reproducer']}"
+        )
+    return lines
 
 
 def run_sweep(args: argparse.Namespace) -> int:
-    engines = ("fast", "reference") if args.engine == "both" else (args.engine,)
     report = run_sweep_campaign(
-        args.seed, tier=args.tier, engines=engines, double=args.double,
+        args.seed, tier=args.tier, engines=runner.selected_engines(args), double=args.double,
         max_points=args.max_points, readopt=args.readopt,
     )
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"FAILOVER_SWEEP_seed{args.seed}.json").write_text(text + "\n")
-    if args.json:
-        print(text)
-    else:
-        meta = report["sweep"]
-        totals = report["totals"]
-        print(
-            f"failover sweep: seed={meta['seed']} tier={meta['tier']} "
-            f"engines={','.join(meta['engines'])}"
-            + (" double" if meta["double"] else "")
-            + (" readopt" if meta["readopt"] else "")
-        )
-        print(
-            f"  points={totals['points']} replays={totals['replays']} "
-            f"violations={totals['violations']} "
-            f"points_agree={'yes' if meta['points_agree'] else 'NO'}"
-            + (f" (truncated {meta['points_truncated']})" if meta["points_truncated"] else "")
-        )
-        for failure in report["failures"]:
-            print(
-                f"FAILURE at crash_at={failure['crash_at']} "
-                f"second={failure['second_crash_at']}: {failure['reproducer']}"
-            )
-    return 1 if report["failures"] else 0
+    return runner.emit(args, report, _summary(report))

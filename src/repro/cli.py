@@ -188,22 +188,21 @@ def build_parser() -> argparse.ArgumentParser:
     build_bench_parser(bench)
     bench.set_defaults(fn=run_bench)
     from repro.chaos.campaign import build_chaos_parser, run_chaos
+    from repro.chaos.hierarchy import HIERARCHY
+    from repro.chaos.runner import build_campaign_parser, run_campaign_command
+    from repro.chaos.sweep import build_sweep_parser, run_sweep
 
     chaos = sub.add_parser(
         "chaos", help="run the randomized fault-injection conformance campaign"
     )
     build_chaos_parser(chaos)
     chaos.set_defaults(fn=run_chaos)
-    from repro.chaos.hierarchy import build_hierarchy_chaos_parser, run_hierarchy_chaos
-
     hierarchy_chaos = sub.add_parser(
         "hierarchy-chaos",
         help="chaos campaign on k-level repair trees (hub crashes, reparent mutations)",
     )
-    build_hierarchy_chaos_parser(hierarchy_chaos)
-    hierarchy_chaos.set_defaults(fn=run_hierarchy_chaos)
-    from repro.chaos.sweep import build_sweep_parser, run_sweep
-
+    build_campaign_parser(hierarchy_chaos, HIERARCHY)
+    hierarchy_chaos.set_defaults(fn=lambda args: run_campaign_command(args, HIERARCHY))
     sweep = sub.add_parser(
         "failover-sweep",
         help="exhaustive crash-point failover sweep (zero-loss proof, JSON artifact)",

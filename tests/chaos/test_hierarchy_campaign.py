@@ -2,18 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
 
 from repro.chaos.controller import ChaosController
-from repro.chaos.hierarchy import (
-    TIERS,
-    run_hierarchy_campaign,
-    run_hierarchy_case,
-    sample_hierarchy_schedule,
-)
+from repro.chaos.hierarchy import HIERARCHY, TIERS, sample_hierarchy_schedule
+from repro.chaos.runner import run_campaign, run_case
 from repro.chaos.schedule import Fault, FaultSchedule, TREE_KINDS
 from repro.simnet.deploy import DeploymentSpec, LbrmDeployment
 
@@ -92,15 +87,8 @@ def test_sampler_always_disturbs_the_tree():
         assert permanent_hub_crashes <= 1
 
 
-def test_same_seed_campaigns_are_byte_identical():
-    kw = dict(tier="quick", engines=("fast",), runs=2)
-    first = json.dumps(run_hierarchy_campaign(7, **kw), sort_keys=True, indent=2)
-    second = json.dumps(run_hierarchy_campaign(7, **kw), sort_keys=True, indent=2)
-    assert first == second
-
-
 def test_quick_campaign_is_clean_and_engines_agree():
-    report = run_hierarchy_campaign(0, tier="quick", runs=1)
+    report = run_campaign(HIERARCHY, 0, tier="quick", runs=1)
     assert report["totals"]["violations"] == 0
     assert not report["failures"]
     assert all(case["engines_agree"] for case in report["cases"])
@@ -112,9 +100,9 @@ def test_quick_campaign_is_clean_and_engines_agree():
 def test_case_digest_covers_tree_state():
     shape = TIERS["quick"]
     schedule = FaultSchedule(faults=(Fault("reparent", 2.0, "site2-logger"),))
-    with_fault = run_hierarchy_case(shape, schedule, case_seed=9, engine="fast")
-    without = run_hierarchy_case(shape, FaultSchedule(), case_seed=9, engine="fast")
+    with_fault = run_case(HIERARCHY, shape, schedule, 9, engine="fast")
+    without = run_case(HIERARCHY, shape, FaultSchedule(), 9, engine="fast")
     assert not with_fault.violations and not without.violations
-    assert with_fault.reparents >= 1
+    assert with_fault.fields["reparents"] >= 1
     # Same receiver contents, different tree: digests must differ.
     assert with_fault.digest != without.digest

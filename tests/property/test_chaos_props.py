@@ -23,7 +23,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import Fault, FaultSchedule
-from repro.chaos.campaign import TIERS, run_case, sample_schedule
+from repro.chaos.campaign import CHAOS, TIERS, sample_schedule
+from repro.chaos.runner import run_case
 
 _SHAPE = TIERS["quick"]  # 2 sites x 2 receivers, 1 replica, 10 packets
 
@@ -35,8 +36,8 @@ _SLOW = settings(
 
 
 def _run_both(schedule: FaultSchedule, case_seed: int):
-    fast = run_case(_SHAPE, schedule, case_seed, engine="fast")
-    reference = run_case(_SHAPE, schedule, case_seed, engine="reference")
+    fast = run_case(CHAOS, _SHAPE, schedule, case_seed, engine="fast")
+    reference = run_case(CHAOS, _SHAPE, schedule, case_seed, engine="reference")
     return fast, reference
 
 
