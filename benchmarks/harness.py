@@ -1,21 +1,24 @@
 """``repro bench`` — the machine-readable performance harness.
 
-Every scenario runs the same deterministic workload under two engine
-configurations and records throughput side by side:
+Every scenario of the quick and full tiers runs the same deterministic
+workload under two engine configurations and records throughput side by
+side:
 
-* ``fast``      — the timer-wheel :class:`~repro.simnet.engine.Simulator`,
-                  batched multicast fan-out, memoized packet codecs.
-* ``reference`` — the pre-wheel pure-heap engine
-                  (:class:`~repro.simnet.engine.ReferenceSimulator`),
-                  per-receiver fan-out, uncached codecs: the pre-PR
-                  baseline.
+* ``fast``      — the timer-wheel :class:`~repro.simnet.engine.Simulator`
+                  with batched multicast fan-out.
+* ``reference`` — the pure-heap engine
+                  (:class:`~repro.simnet.engine.ReferenceSimulator`) with
+                  per-receiver fan-out: the engine's executable spec.
 
-Both configurations execute bit-identical protocol histories (same
-seeds, same RNG draw order, same delivery order) — the harness asserts
-scenario-specific invariants under each engine and refuses to report a
-speedup for runs that diverge.  Results are written as
-``BENCH_<scenario>.json`` files in ``benchmarks/results/`` so every PR
-leaves a perf trajectory:
+Both configurations share one codec and one transport, and execute
+bit-identical protocol histories (same seeds, same RNG draw order, same
+delivery order) — the harness asserts scenario-specific invariants under
+each engine and refuses to report a speedup for runs that diverge.  A
+scenario that runs no simulator (``logger_throughput``) executes the
+same code under both names, so its speedup reads about 1.  The scale,
+hierarchy and aio tiers run the fast engine only.  Results are written
+as ``BENCH_<scenario>.json`` files in ``benchmarks/results/`` so every
+PR leaves a perf trajectory:
 
 * ``events_per_sec`` — scenario work units (deliveries, requests) per
   wall-clock second; the unit is engine-independent, so the fast/
@@ -24,6 +27,11 @@ leaves a perf trajectory:
   this *smaller* for the same history).
 * ``peak_queue_depth`` — high-water mark of live pending events, read
   from the ``sim.peak_queue_depth`` gauge in the ``repro.obs`` registry.
+
+The ``speedup`` fields in the committed ``BENCH_*.json`` files predate
+this layout: their reference runs also used the per-field codecs, no
+codec memo and (aio tier) the pre-bundling transport, none of which
+exists any more.  Re-running a tier rewrites them.
 
 Run via ``python -m repro bench --quick`` (or ``--full`` for
 paper-scale populations, ``--jobs N`` for multiprocessing across
@@ -68,29 +76,13 @@ ENGINES = ("fast", "reference")
 
 
 class _EngineMode:
-    """Install one engine configuration process-wide for a measured run."""
+    """One engine configuration for a measured simulator run."""
 
     def __init__(self, engine: str) -> None:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        self.engine = engine
         self.fast = engine == "fast"
 
     def make_sim(self):
         return Simulator() if self.fast else ReferenceSimulator()
-
-    def __enter__(self) -> "_EngineMode":
-        packets.set_codec_caches(encode=self.fast, decode=self.fast)
-        # The reference configuration is the pre-PR baseline throughout:
-        # heap engine, uncached per-field codecs.  The struct codecs are
-        # part of the fast path being measured.
-        packets.set_codec_mode("struct" if self.fast else "legacy")
-        return self
-
-    def __exit__(self, *exc) -> None:
-        # The fast configuration is the process default.
-        packets.set_codec_caches(encode=True, decode=True)
-        packets.set_codec_mode("struct")
 
     def configure(self, dep: LbrmDeployment) -> None:
         dep.network.batch_delivery = self.fast
@@ -125,47 +117,47 @@ def scenario_fig7_nack_reduction(tier: str, engine: str) -> dict:
     for _ in range(p["repeats"]):
         # No recording registry: the harness measures protocol + engine
         # throughput, and queue depths read off the simulator directly.
-        with _EngineMode(engine) as mode:
-            dep = LbrmDeployment(
-                DeploymentSpec(
-                    n_sites=p["n_sites"],
-                    receivers_per_site=p["receivers_per_site"],
-                    seed=1995,
-                ),
-                sim=mode.make_sim(),
-            )
-            mode.configure(dep)
-            t0 = time.perf_counter()
-            dep.start()
-            dep.advance(0.2)
-            dep.send(b"warm-up")
-            dep.advance(1.0)
-            dep.burst_site("site1", duration=0.1)
-            dep.send(b"the update")
-            dep.advance(5.0)
-            for i in range(p["data_packets"]):
-                dep.send(f"steady-{i}".encode())
-                dep.advance(p["spacing"])
-            dep.advance(5.0)
-            wall = time.perf_counter() - t0
-            delivered = dep.network.stats["delivered"]
-            wan_nacks = dep.trace.cross_site_nacks()
-            recovered = dep.receivers_with(2)
-            run = {
-                "wall_s": wall,
-                "events": delivered,
-                "events_per_sec": delivered / wall,
-                "sim_events": dep.sim.processed,
-                "peak_queue_depth": dep.sim.peak_pending,
-                "final_queue_depth": dep.sim.pending,
-                "tombstones": dep.sim.tombstones,
-                "checks": {
-                    "wan_nacks": wan_nacks,
-                    "recovered_receivers": recovered,
-                    "delivered": delivered,
-                    "dropped": dep.network.stats["dropped"],
-                },
-            }
+        mode = _EngineMode(engine)
+        dep = LbrmDeployment(
+            DeploymentSpec(
+                n_sites=p["n_sites"],
+                receivers_per_site=p["receivers_per_site"],
+                seed=1995,
+            ),
+            sim=mode.make_sim(),
+        )
+        mode.configure(dep)
+        t0 = time.perf_counter()
+        dep.start()
+        dep.advance(0.2)
+        dep.send(b"warm-up")
+        dep.advance(1.0)
+        dep.burst_site("site1", duration=0.1)
+        dep.send(b"the update")
+        dep.advance(5.0)
+        for i in range(p["data_packets"]):
+            dep.send(f"steady-{i}".encode())
+            dep.advance(p["spacing"])
+        dep.advance(5.0)
+        wall = time.perf_counter() - t0
+        delivered = dep.network.stats["delivered"]
+        wan_nacks = dep.trace.cross_site_nacks()
+        recovered = dep.receivers_with(2)
+        run = {
+            "wall_s": wall,
+            "events": delivered,
+            "events_per_sec": delivered / wall,
+            "sim_events": dep.sim.processed,
+            "peak_queue_depth": dep.sim.peak_pending,
+            "final_queue_depth": dep.sim.pending,
+            "tombstones": dep.sim.tombstones,
+            "checks": {
+                "wan_nacks": wan_nacks,
+                "recovered_receivers": recovered,
+                "delivered": delivered,
+                "dropped": dep.network.stats["dropped"],
+            },
+        }
         if best is None or run["wall_s"] < best["wall_s"]:
             best = run
     best["params"] = p
@@ -193,45 +185,44 @@ def scenario_logger_throughput(tier: str, engine: str) -> dict:
     p = _logger_params(tier)
     best = None
     for _ in range(p["repeats"]):
-        with _EngineMode(engine):
-            logger = LogServer("g", addr_token="sec", config=LbrmConfig(),
-                               role=LoggerRole.SECONDARY)
-            payload = b"x" * p["payload"]
-            for seq in range(1, p["log_entries"] + 1):
-                logger.log.append(seq, payload, now=0.0)
-                logger.tracker.observe_data(seq)
-            # 64 distinct (request, requester) pairs, rotated: a deployed
-            # logger fields repeats of a bounded working set, not one
-            # endlessly re-built object.  Construction happens outside
-            # the timed loop — the path under test starts at encode.
-            requests = [NackPacket(group="g", seqs=(100 + j,)) for j in range(64)]
-            requesters = [f"rx{j}" for j in range(64)]
-            served = 0
-            encoded_bytes = 0
-            t0 = time.perf_counter()
-            for i in range(p["requests"]):
-                j = i & 63
-                wire = packets.encode(requests[j])
-                request = packets.decode(wire)
-                actions = logger.handle(request, requesters[j], 1.0)
-                for action in actions:
-                    t = type(action)
-                    reply = action.packet if (t is SendUnicast or t is SendMulticast) else None
-                    if reply is not None:
-                        reply_wire = packets.encode(reply)
-                        encoded_bytes += len(reply_wire)
-                        packets.decode(reply_wire)  # receiver side of the trip
-                        served += 1
-            wall = time.perf_counter() - t0
-            run = {
-                "wall_s": wall,
-                "events": p["requests"],
-                "events_per_sec": p["requests"] / wall,
-                "per_request_us": wall * 1e6 / p["requests"],
-                "sim_events": 0,
-                "peak_queue_depth": 0,
-                "checks": {"served": served, "encoded_bytes": encoded_bytes},
-            }
+        logger = LogServer("g", addr_token="sec", config=LbrmConfig(),
+                           role=LoggerRole.SECONDARY)
+        payload = b"x" * p["payload"]
+        for seq in range(1, p["log_entries"] + 1):
+            logger.log.append(seq, payload, now=0.0)
+            logger.tracker.observe_data(seq)
+        # 64 distinct (request, requester) pairs, rotated: a deployed
+        # logger fields repeats of a bounded working set, not one
+        # endlessly re-built object.  Construction happens outside
+        # the timed loop — the path under test starts at encode.
+        requests = [NackPacket(group="g", seqs=(100 + j,)) for j in range(64)]
+        requesters = [f"rx{j}" for j in range(64)]
+        served = 0
+        encoded_bytes = 0
+        t0 = time.perf_counter()
+        for i in range(p["requests"]):
+            j = i & 63
+            wire = packets.encode(requests[j])
+            request = packets.decode(wire)
+            actions = logger.handle(request, requesters[j], 1.0)
+            for action in actions:
+                t = type(action)
+                reply = action.packet if (t is SendUnicast or t is SendMulticast) else None
+                if reply is not None:
+                    reply_wire = packets.encode(reply)
+                    encoded_bytes += len(reply_wire)
+                    packets.decode(reply_wire)  # receiver side of the trip
+                    served += 1
+        wall = time.perf_counter() - t0
+        run = {
+            "wall_s": wall,
+            "events": p["requests"],
+            "events_per_sec": p["requests"] / wall,
+            "per_request_us": wall * 1e6 / p["requests"],
+            "sim_events": 0,
+            "peak_queue_depth": 0,
+            "checks": {"served": served, "encoded_bytes": encoded_bytes},
+        }
         if best is None or run["wall_s"] < best["wall_s"]:
             best = run
     best["params"] = p
@@ -255,37 +246,37 @@ def scenario_multicast_fanout(tier: str, engine: str) -> dict:
     p = _fanout_params(tier)
     best = None
     for _ in range(p["repeats"]):
-        with _EngineMode(engine) as mode:
-            dep = LbrmDeployment(
-                DeploymentSpec(
-                    n_sites=p["n_sites"],
-                    receivers_per_site=p["receivers_per_site"],
-                    seed=7,
-                ),
-                sim=mode.make_sim(),
-            )
-            mode.configure(dep)
-            t0 = time.perf_counter()
-            dep.start()
-            dep.advance(0.2)
-            for i in range(p["data_packets"]):
-                dep.send(f"train-{i}".encode())
-                dep.advance(p["spacing"])
-            dep.advance(2.0)
-            wall = time.perf_counter() - t0
-            delivered = dep.network.stats["delivered"]
-            run = {
-                "wall_s": wall,
-                "events": delivered,
-                "events_per_sec": delivered / wall,
-                "sim_events": dep.sim.processed,
-                "peak_queue_depth": dep.sim.peak_pending,
-                "tombstones": dep.sim.tombstones,
-                "checks": {
-                    "delivered": delivered,
-                    "all_received_last": dep.receivers_with(p["data_packets"] + 1),
-                },
-            }
+        mode = _EngineMode(engine)
+        dep = LbrmDeployment(
+            DeploymentSpec(
+                n_sites=p["n_sites"],
+                receivers_per_site=p["receivers_per_site"],
+                seed=7,
+            ),
+            sim=mode.make_sim(),
+        )
+        mode.configure(dep)
+        t0 = time.perf_counter()
+        dep.start()
+        dep.advance(0.2)
+        for i in range(p["data_packets"]):
+            dep.send(f"train-{i}".encode())
+            dep.advance(p["spacing"])
+        dep.advance(2.0)
+        wall = time.perf_counter() - t0
+        delivered = dep.network.stats["delivered"]
+        run = {
+            "wall_s": wall,
+            "events": delivered,
+            "events_per_sec": delivered / wall,
+            "sim_events": dep.sim.processed,
+            "peak_queue_depth": dep.sim.peak_pending,
+            "tombstones": dep.sim.tombstones,
+            "checks": {
+                "delivered": delivered,
+                "all_received_last": dep.receivers_with(p["data_packets"] + 1),
+            },
+        }
         if best is None or run["wall_s"] < best["wall_s"]:
             best = run
     best["params"] = p
@@ -315,10 +306,7 @@ SCENARIOS = {
 
 def _require_fast(name: str, engine: str) -> None:
     if engine != "fast":
-        raise ValueError(
-            f"{name} runs the fast engine only; the aggregate model has no "
-            "reference-engine twin (conformance lives in tests/scale/)"
-        )
+        raise ValueError(f"{name} runs the fast engine only")
 
 
 def _scale_fig7_params(tier: str) -> dict:
@@ -436,26 +424,20 @@ SCALE_SCENARIOS = {
 # -- aio scenarios ------------------------------------------------------------
 #
 # The ``--aio`` tier measures the *live* transport (repro.aio) over real
-# loopback sockets, with the same fast/reference convention as the
-# simulator tiers:
+# loopback sockets: TX bundling + zero-copy RX ring + ``decode_from`` +
+# struct codecs, the one transport the runtime has.  Fast engine only —
+# there is no second transport to compare against; ``--check`` gates the
+# absolute ``events_per_sec`` against the committed baselines instead.
 #
-# * ``fast``      — TX bundling + zero-copy RX ring + ``decode_from`` +
-#                   struct codecs: the transport fast path.
-# * ``reference`` — the retained pre-fast-path configuration: asyncio
-#                   DatagramTransports (one bytes allocation + one
-#                   callback per datagram), copy-normalizing ``decode``,
-#                   legacy uncached codecs, one datagram per packet.
-#
-# Two scenarios: ``aio_cluster_throughput`` carries the identical
-# packet stream through a real AioCluster (sender + site logger +
-# primary + N receivers) and only counts if every receiver finishes
-# with the complete stream — protocol work (logging, ACK tracking,
-# ordering) is a large fixed cost in both engines, so its ratio is the
-# deployment-visible speedup.  ``aio_transport_blast`` isolates the
-# transport (sender fans the stream to N sink nodes over unicast), so
-# per-datagram cost dominates and its ratio is the transport-fast-path
-# speedup bundling targets.  Throughput is timing-dependent by nature,
-# so ``checks`` holds only deterministic workload facts (counts,
+# Two scenarios: ``aio_cluster_throughput`` carries the packet stream
+# through a real AioCluster (sender + site logger + primary + N
+# receivers) and only counts if every receiver finishes with the
+# complete stream — protocol work (logging, ACK tracking, ordering) is
+# a large fixed cost, so its rate is the deployment-visible one.
+# ``aio_transport_blast`` isolates the transport (sender fans the stream
+# to N sink nodes over unicast), so per-datagram cost dominates — the
+# cost bundling targets.  Throughput is timing-dependent by nature, so
+# ``checks`` holds only deterministic workload facts (counts,
 # completeness) — never rates.
 
 
@@ -467,25 +449,19 @@ def aio_available() -> bool:
 
 
 def scenario_aio_cluster_throughput(tier: str, engine: str) -> dict:
-    """Full LBRM cluster end to end: fast path vs pre-fast-path baseline."""
+    """Full LBRM cluster end to end over loopback sockets."""
     from repro.aio.bench import run_loopback
 
-    fast = engine == "fast"
-    with _EngineMode(engine):
-        return run_loopback(
-            bundling=fast, tier=tier, legacy_transports=not fast, scenario="cluster"
-        )
+    _require_fast("aio_cluster_throughput", engine)
+    return run_loopback(bundling=True, tier=tier, scenario="cluster")
 
 
 def scenario_aio_transport_blast(tier: str, engine: str) -> dict:
-    """Transport-isolated fan-out: per-datagram costs dominate the ratio."""
+    """Transport-isolated fan-out: per-datagram costs dominate the rate."""
     from repro.aio.bench import run_loopback
 
-    fast = engine == "fast"
-    with _EngineMode(engine):
-        return run_loopback(
-            bundling=fast, tier=tier, legacy_transports=not fast, scenario="blast"
-        )
+    _require_fast("aio_transport_blast", engine)
+    return run_loopback(bundling=True, tier=tier, scenario="blast")
 
 
 AIO_SCENARIOS = {
@@ -590,11 +566,11 @@ def scenario_hierarchy_recovery_cdf(tier: str, engine: str) -> dict:
     """
     _require_fast("hierarchy_recovery_cdf", engine)
     p = _hierarchy_cdf_params(tier)
-    with _EngineMode(engine) as mode:
-        t0 = time.perf_counter()
-        flat = _recovery_cdf_run(2, p, mode)
-        klevel = _recovery_cdf_run(3, p, mode)
-        wall = time.perf_counter() - t0
+    mode = _EngineMode(engine)
+    t0 = time.perf_counter()
+    flat = _recovery_cdf_run(2, p, mode)
+    klevel = _recovery_cdf_run(3, p, mode)
+    wall = time.perf_counter() - t0
     for q in ("p50", "p95", "p99"):
         assert klevel[q] < flat[q], (
             f"k-level does not dominate flat at {q}: "
@@ -637,6 +613,8 @@ def run_scenario(name: str, tier: str = "quick", engine: str = "fast") -> dict:
         raise ValueError(
             f"unknown scenario {name!r}; have {sorted(ALL_SCENARIOS)}"
         ) from None
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     return fn(tier, engine)
 
 

@@ -191,10 +191,9 @@ def build_bench_parser(parser: argparse.ArgumentParser | None = None) -> argpars
                       help="k-level repair-tree scenarios (recovery-latency CDF, "
                            "flat vs depth-3 at 10k sites); fast engine only")
     tier.add_argument("--aio", dest="tier", action="store_const", const="aio",
-                      help="live-UDP loopback transport tier: bundled zero-copy "
-                           "fast path (fast) vs the pre-bundling transport "
-                           "baseline (reference) over real sockets; writes an "
-                           "explicit skipped artifact where sockets are "
+                      help="live-UDP loopback transport tier (bundled zero-copy "
+                           "path over real sockets); fast engine only; writes "
+                           "an explicit skipped artifact where sockets are "
                            "unavailable")
     parser.set_defaults(tier="quick")
     parser.add_argument("--only", metavar="NAME[,NAME...]", default=None,
@@ -232,9 +231,12 @@ def run_bench(args: argparse.Namespace) -> int:
         print(f"bench: {exc}", file=sys.stderr)
         return 1
 
-    # The scale tier runs its own scenario set (aggregate-model runs the
-    # reference engine has no twin for); the aio tier runs the live-UDP
-    # scenarios; quick/full run the exact set.
+    # The scale, hierarchy and aio tiers run their own scenario sets on
+    # the fast engine only; quick/full run the exact set on both engines.
+    fast_only = args.tier in ("scale", "hierarchy", "aio")
+    if fast_only and args.engine == "reference":
+        print(f"bench: {args.tier} scenarios run the fast engine only", file=sys.stderr)
+        return 2
     if args.tier == "scale":
         scenario_map = getattr(harness, "SCALE_SCENARIOS", {})
         if not scenario_map:
@@ -275,10 +277,7 @@ def run_bench(args: argparse.Namespace) -> int:
             print(f"bench: unknown scenario(s) {unknown}; "
                   f"have {sorted(scenario_map)}", file=sys.stderr)
             return 2
-    if args.tier in ("scale", "hierarchy"):
-        if args.engine == "reference":
-            print(f"bench: {args.tier} scenarios run the fast engine only", file=sys.stderr)
-            return 2
+    if fast_only:
         engines = ["fast"]
     else:
         engines = ["fast", "reference"] if args.engine == "both" else [args.engine]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import ClassVar
+
 import pytest
 
 from repro.core import packets as P
@@ -113,6 +116,22 @@ def test_registry_rejects_duplicate_type():
             TYPE = P.PacketType.DATA
 
         del Dup  # pragma: no cover
+
+
+def test_registry_rejects_class_without_wire_spec():
+    before = dict(P._REGISTRY)
+    with pytest.raises(EncodeError, match="WIRE"):
+
+        @P.register_packet
+        @dataclass(frozen=True, slots=True)
+        class NoWire(P.Packet):
+            value: int
+
+            TYPE: ClassVar[int] = 63
+
+        del NoWire  # pragma: no cover
+    assert P._REGISTRY == before
+    assert 63 not in P._STRUCT_DECODERS
 
 
 def test_sequence_numbers_are_64_bit():

@@ -35,11 +35,9 @@ EVERY_PACKET = ALL_PACKETS + EXTENSION_PACKETS
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    """Each test sees empty, enabled memos and leaves none behind."""
-    P.set_codec_caches(encode=True, decode=True)
+    """Each test sees empty memos and leaves none behind."""
     P.clear_codec_caches()
     yield
-    P.set_codec_caches(encode=True, decode=True)
     P.clear_codec_caches()
 
 
@@ -63,7 +61,7 @@ def test_cached_encode_is_bit_identical(packet):
 @pytest.mark.parametrize("packet", EVERY_PACKET, ids=lambda p: type(p).__name__)
 def test_cached_decode_matches_uncached(packet):
     wire = P.encode_uncached(packet)
-    assert P.decode(wire) == P.decode_uncached(wire) == packet
+    assert P.decode(wire) == P.decode_from(wire) == packet
 
 
 def test_decode_hit_returns_shared_instance():
@@ -123,23 +121,7 @@ def test_hits_off_recording_skip_registry_entirely():
     packet = P.DataAckPacket(group="g", epoch=1, seq=2)
     P.encode(packet)
     P.encode(packet)
-    assert P.codec_cache_stats()["encode"] == {
-        "hits": 1,
-        "misses": 1,
-        "size": 1,
-        "enabled": True,
-    }
-
-
-def test_disabled_cache_takes_uncached_path():
-    P.set_codec_caches(encode=False, decode=False)
-    packet = P.DataPacket(group="g", seq=9, payload=b"raw")
-    wire = P.encode(packet)
-    assert wire == P.encode_uncached(packet)
-    assert P.decode(wire) == packet
-    stats = P.codec_cache_stats()
-    assert stats["encode"] == {"hits": 0, "misses": 0, "size": 0, "enabled": False}
-    assert stats["decode"] == {"hits": 0, "misses": 0, "size": 0, "enabled": False}
+    assert P.codec_cache_stats()["encode"] == {"hits": 1, "misses": 1, "size": 1}
 
 
 def test_encode_cache_is_fifo_bounded():

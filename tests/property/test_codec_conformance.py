@@ -1,11 +1,14 @@
-"""Differential codec conformance: struct fast path vs legacy spec.
+"""Differential codec conformance: struct codecs vs the hand-written spec.
 
 The per-field ``encode_body`` / ``decode_body`` methods are the
 executable wire-format specification; the precompiled ``struct`` codecs
-are the fast path the hot loops actually run.  This suite fuzzes every
-registered packet type — the strategies are derived from each class's
-``WIRE`` declaration, so a new packet type is covered the moment it is
-registered — and asserts the two paths are indistinguishable:
+built from each class's ``WIRE`` are what ``encode``/``decode`` run.
+The spec side is driven here through a test-side framing helper that
+adds and parses the common header around the hand-written body codecs.
+This suite fuzzes every registered packet type — the strategies are
+derived from each class's ``WIRE`` declaration, so a new packet type is
+covered the moment it is registered — and asserts the two paths are
+indistinguishable:
 
 * identical bytes out of ``encode`` for identical packets,
 * identical packets out of ``decode`` for identical bytes,
@@ -13,10 +16,9 @@ registered — and asserts the two paths are indistinguishable:
   always via :class:`DecodeError` — a raw ``struct.error`` escaping
   either path is a crash bug in a transport callback.
 
-A ``DecodeError`` from one mode with a successful parse in the other
-would let a mixed fleet (old decoder, new encoder or vice versa)
-disagree about what is on the wire, so every assertion here runs the
-same input through both modes.
+A ``DecodeError`` from one path with a successful parse in the other
+would let two implementations of the format disagree about what is on
+the wire, so every assertion here runs the same input through both.
 """
 
 from __future__ import annotations
@@ -61,27 +63,38 @@ _ALL_CLASSES = [cls for _, cls in sorted(P._REGISTRY.items())]
 _PACKETS = st.one_of([_packet_strategy(cls) for cls in _ALL_CLASSES])
 
 
-def _with_mode(mode, fn):
-    """Run ``fn`` under a codec mode, restoring the process default."""
-    prior = P.codec_mode()
-    P.set_codec_mode(mode)
-    try:
-        return fn()
-    finally:
-        P.set_codec_mode(prior)
+# -- the spec path: common header framing around encode_body/decode_body ----
+
+
+def _spec_encode(pkt):
+    """Header + length-prefixed group + the hand-written body."""
+    head = P._HEADER.pack(P._MAGIC, P._VERSION, int(pkt.TYPE))
+    return head + P._pack_str(pkt.group) + pkt.encode_body()
+
+
+def _spec_decode(data):
+    """Parse the common header, then hand the body to ``decode_body``."""
+    view = memoryview(data)
+    if len(view) < P._HEADER.size:
+        raise DecodeError("datagram shorter than header")
+    magic, version, ptype = P._HEADER.unpack_from(view, 0)
+    if magic != P._MAGIC or version != P._VERSION or ptype not in P._REGISTRY:
+        raise DecodeError("bad header")
+    group, end = P._unpack_str(view, P._HEADER.size)
+    return P._REGISTRY[ptype].decode_body(group, view[end:])
 
 
 def _decode_both(data):
-    """Decode under both modes; return (struct_outcome, legacy_outcome).
+    """Decode via struct and spec; return (struct_outcome, spec_outcome).
 
-    Outcomes are ``("ok", packet)`` or ``("error", message)``.  Only
+    Outcomes are ``("ok", packet)`` or ``("error",)``.  Only
     :class:`DecodeError` counts as rejection — anything else (above all
     ``struct.error``) propagates and fails the test.
     """
     outcomes = []
-    for mode in ("struct", "legacy"):
+    for decode in (P.decode_from, _spec_decode):
         try:
-            packet = _with_mode(mode, lambda: P.decode_uncached(data))
+            packet = decode(data)
         except DecodeError:
             outcomes.append(("error",))
         else:
@@ -99,50 +112,48 @@ def test_every_registered_type_has_a_struct_codec(cls):
 @settings(max_examples=300, deadline=None)
 @given(_PACKETS)
 def test_struct_and_legacy_encodings_identical(pkt):
-    wire_struct = _with_mode("struct", lambda: P.encode_uncached(pkt))
-    wire_legacy = _with_mode("legacy", lambda: P.encode_uncached(pkt))
-    assert wire_struct == wire_legacy
+    assert P.encode_uncached(pkt) == _spec_encode(pkt)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_PACKETS)
 def test_struct_and_legacy_roundtrip_identical(pkt):
-    wire = _with_mode("legacy", lambda: P.encode_uncached(pkt))
-    via_struct = _with_mode("struct", lambda: P.decode_uncached(wire))
-    via_legacy = _with_mode("legacy", lambda: P.decode_uncached(wire))
+    wire = _spec_encode(pkt)
+    via_struct = P.decode_from(wire)
+    via_spec = _spec_decode(wire)
     assert type(via_struct) is type(pkt)
     assert via_struct == pkt
-    assert via_legacy == pkt
+    assert via_spec == pkt
 
 
 @settings(max_examples=150, deadline=None)
 @given(_PACKETS, st.data())
 def test_truncation_rejected_identically(pkt, data):
-    """Any proper prefix of a valid datagram fails in both modes."""
-    wire = _with_mode("struct", lambda: P.encode_uncached(pkt))
+    """Any proper prefix of a valid datagram fails on both paths."""
+    wire = P.encode_uncached(pkt)
     cut = data.draw(st.integers(min_value=1, max_value=len(wire)))
-    struct_out, legacy_out = _decode_both(wire[: len(wire) - cut])
+    struct_out, spec_out = _decode_both(wire[: len(wire) - cut])
     # Cutting from a correct encoding can never leave a shorter valid
     # parse (every body codec checks exact length), so both must reject.
     assert struct_out == ("error",)
-    assert legacy_out == ("error",)
+    assert spec_out == ("error",)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_PACKETS, st.binary(min_size=1, max_size=8))
 def test_trailing_garbage_rejected_identically(pkt, suffix):
-    wire = _with_mode("struct", lambda: P.encode_uncached(pkt))
-    struct_out, legacy_out = _decode_both(wire + suffix)
+    wire = P.encode_uncached(pkt)
+    struct_out, spec_out = _decode_both(wire + suffix)
     assert struct_out == ("error",)
-    assert legacy_out == ("error",)
+    assert spec_out == ("error",)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.binary(max_size=128))
 def test_garbage_outcomes_identical(data):
-    """Arbitrary bytes: both modes agree — same packet or both reject."""
-    struct_out, legacy_out = _decode_both(data)
-    assert struct_out == legacy_out
+    """Arbitrary bytes: both paths agree — same packet or both reject."""
+    struct_out, spec_out = _decode_both(data)
+    assert struct_out == spec_out
 
 
 @settings(max_examples=150, deadline=None)
@@ -155,13 +166,13 @@ def test_flipped_byte_never_escapes_decode_error(pkt, data):
     or UnicodeDecodeError out.  _decode_both re-raises anything that is
     not a DecodeError.
     """
-    wire = bytearray(_with_mode("struct", lambda: P.encode_uncached(pkt)))
+    wire = bytearray(P.encode_uncached(pkt))
     index = data.draw(st.integers(min_value=0, max_value=len(wire) - 1))
     flip = data.draw(st.integers(min_value=1, max_value=255))
     wire[index] ^= flip
-    struct_out, legacy_out = _decode_both(bytes(wire))
-    if struct_out[0] == "ok" and legacy_out[0] == "ok":
-        assert struct_out[1] == legacy_out[1]
+    struct_out, spec_out = _decode_both(bytes(wire))
+    if struct_out[0] == "ok" and spec_out[0] == "ok":
+        assert struct_out[1] == spec_out[1]
 
 
 # -- input normalization (the transport hands us whatever it has) ------------
@@ -190,15 +201,15 @@ def test_decode_accepts_bytearray_and_memoryview():
     assert all(type(k) is bytes for k in P._DECODE_CACHE.entries)
 
 
-def test_decode_uncached_accepts_bytearray_and_memoryview():
+def test_decode_from_accepts_bytearray_and_memoryview():
     pkt = P.NackPacket(group="g", seqs=(4, 9))
     wire = P.encode_uncached(pkt)
-    assert P.decode_uncached(bytearray(wire)) == pkt
-    assert P.decode_uncached(memoryview(wire)) == pkt
+    assert P.decode_from(bytearray(wire)) == pkt
+    assert P.decode_from(memoryview(wire)) == pkt
 
 
 def test_decode_rejects_malformed_bytearray_with_decode_error():
     with pytest.raises(DecodeError):
         P.decode(bytearray(b"\x00\x01\x02"))
     with pytest.raises(DecodeError):
-        P.decode_uncached(memoryview(b"LBRM-but-not-really"))
+        P.decode_from(memoryview(b"LBRM-but-not-really"))

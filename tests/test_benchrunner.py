@@ -174,11 +174,20 @@ class TestAioTier:
         assert run_bench(args) == 0
         ran = {name for name, _, _ in _calls(tmp_path)}
         assert ran == {"aio_cluster_throughput", "aio_transport_blast"}
-        # Both engines measured: the tier's point is the fast/reference ratio.
+        # One transport, so one engine: the fast configuration only.
         engines = {engine for _, _, engine in _calls(tmp_path)}
-        assert engines == {"fast", "reference"}
+        assert engines == {"fast"}
         for name in ran:
             assert (tmp_path / "out" / f"BENCH_{name}.json").exists()
+
+    def test_aio_tier_rejects_the_reference_engine(self, tmp_path):
+        harness = _write_fake_harness(tmp_path, available=True)
+        args = build_bench_parser().parse_args(
+            ["--aio", "--engine", "reference", "--out", str(tmp_path / "out"),
+             "--harness", str(harness)]
+        )
+        assert run_bench(args) == 2
+        assert _calls(tmp_path) == []
 
     def test_skip_artifact_written_when_sockets_unavailable(self, tmp_path):
         harness = _write_fake_harness(tmp_path, available=False)
